@@ -105,27 +105,6 @@ void ParallelFor(ThreadPool* pool, size_t total, size_t grain,
   });
 }
 
-std::vector<int32_t> BuildChunkShardMap(std::span<const uint32_t> bounds,
-                                        size_t total, size_t grain) {
-  if (grain == 0) grain = 1;
-  const size_t num_chunks = NumChunks(total, grain);
-  std::vector<int32_t> map(num_chunks, -1);
-  if (bounds.size() < 2) return map;
-  for (size_t c = 0; c < num_chunks; ++c) {
-    const size_t begin = c * grain;
-    const size_t end = std::min(total, (c + 1) * grain);
-    // Shard of the chunk's first element; the chunk is contained iff its
-    // exclusive end stays within that shard's range.
-    const auto it = std::upper_bound(bounds.begin(), bounds.end(),
-                                     static_cast<uint32_t>(begin));
-    const size_t s = static_cast<size_t>(it - bounds.begin()) - 1;
-    if (s + 1 < bounds.size() && end <= bounds[s + 1]) {
-      map[c] = static_cast<int32_t>(s);
-    }
-  }
-  return map;
-}
-
 double DeterministicSum(std::span<const double> values) {
   const size_t n = values.size();
   if (n == 0) return 0.0;

@@ -5,7 +5,6 @@
 #include <cstdint>
 #include <functional>
 #include <span>
-#include <vector>
 
 #include "common/thread_pool.h"
 
@@ -52,20 +51,6 @@ inline size_t NumChunks(size_t total, size_t grain) {
   if (grain == 0) grain = 1;
   return (total + grain - 1) / grain;
 }
-
-/// Maps every `ParallelFor` chunk of (`total`, `grain`) to the shard that
-/// fully contains it, or -1 for a chunk straddling a shard boundary.
-/// `bounds` is a shard partition as produced by `GraphPartitioner` — P+1
-/// ascending values spanning `[0, total)` (`ShardedGraph::bounds()`).
-///
-/// This is how dense (index-space) kernels become shard-aware without
-/// touching their chunking: the chunk grid stays exactly as before — so
-/// per-chunk reductions keep their boundaries and results stay
-/// bit-identical — and a chunk mapped to shard s may stream shard s's
-/// local rows, falling back to the monolithic arrays for the at-most-P-1
-/// straddling chunks. O(num_chunks · log P).
-std::vector<int32_t> BuildChunkShardMap(std::span<const uint32_t> bounds,
-                                        size_t total, size_t grain);
 
 /// Deterministic pairwise (tree) reduction of per-chunk partials. The
 /// combination order is a pure function of `values.size()`, so the result

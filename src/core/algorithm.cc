@@ -87,7 +87,6 @@ PageRankOptions ToPageRankOptions(const AlgorithmRequest& request) {
   options.tolerance = request.tolerance;
   options.max_iterations = request.max_iterations;
   options.num_threads = request.num_threads;
-  options.sharded = request.sharded_graph.get();
   return options;
 }
 
@@ -202,7 +201,6 @@ class CycleRankAlgorithm final : public RelevanceAlgorithm {
     options.max_cycle_length = request.max_cycle_length;
     options.scoring = request.scoring;
     options.num_threads = request.num_threads;
-    options.sharded = request.sharded_graph.get();
     CYCLERANK_ASSIGN_OR_RETURN(
         CycleRankScores scores,
         ComputeCycleRank(g, request.reference, options));
@@ -223,7 +221,6 @@ class ForwardPushAlgorithm final : public RelevanceAlgorithm {
     options.alpha = request.alpha;
     options.epsilon = request.epsilon;
     options.num_threads = request.num_threads;
-    options.sharded = request.sharded_graph.get();
     CYCLERANK_ASSIGN_OR_RETURN(
         ForwardPushScores scores,
         ComputeForwardPushPpr(g, request.reference, options));

@@ -8,7 +8,6 @@
 
 #include "common/parallel_for.h"
 #include "common/workspace.h"
-#include "graph/sharded_graph.h"
 #include "graph/traversal.h"
 
 namespace cyclerank {
@@ -327,10 +326,6 @@ Result<CycleRankScores> ComputeCycleRank(const Graph& g, NodeId reference,
         "CycleRank: max_cycle_length (K) must be >= 2, got " +
         std::to_string(options.max_cycle_length));
   }
-  if (options.sharded != nullptr && options.sharded->parent().get() != &g) {
-    return Status::InvalidArgument(
-        "CycleRank: sharded view does not belong to this graph");
-  }
 
   // One backward BFS gives dist(v → r) for the pruning rule. Bounded by
   // K-1: anything farther can never participate in a cycle of length ≤ K.
@@ -341,7 +336,7 @@ Result<CycleRankScores> ComputeCycleRank(const Graph& g, NodeId reference,
     CYCLERANK_ASSIGN_OR_RETURN(
         dist_back, BfsDistances(g, reference, Direction::kBackward,
                                 options.max_cycle_length - 1,
-                                options.num_threads, options.sharded));
+                                options.num_threads));
   } else {
     dist_back.assign(g.num_nodes(), 0);
   }

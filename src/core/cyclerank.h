@@ -10,8 +10,6 @@
 
 namespace cyclerank {
 
-class ShardedGraph;
-
 /// Options for CycleRank (paper §II, Eq. (1); Consonni, Laniado & Montresor,
 /// Proc. Royal Society A 2020).
 struct CycleRankOptions {
@@ -53,15 +51,6 @@ struct CycleRankOptions {
   /// engine). Ignored (single enumeration) when `max_cycles != 0`, since
   /// a global cap cannot be enforced exactly across concurrent branches.
   uint32_t num_threads = 1;
-
-  /// Optional sharded view of the *same* graph (`sharded->parent().get()`
-  /// must equal the graph passed to the kernel — validated). Consumed by
-  /// the backward pruning BFS, which then streams shard-local CSR rows;
-  /// the DFS enumeration is unaffected (its working set is the reachable
-  /// neighbourhood, not a vertex-range scan). Execution-only, like
-  /// `num_threads`: scores, counts, and the work metric are bit-identical
-  /// at every shard count. Borrowed; must outlive the call.
-  const ShardedGraph* sharded = nullptr;
 };
 
 /// Outcome of a CycleRank computation.

@@ -9,8 +9,6 @@
 
 namespace cyclerank {
 
-class ShardedGraph;
-
 /// Options for the PageRank / Personalized PageRank power iteration (§II).
 struct PageRankOptions {
   /// Damping factor α — the probability of following a link versus
@@ -36,18 +34,6 @@ struct PageRankOptions {
   /// reduction, so scores and iteration counts are **bit-identical at
   /// every thread count**.
   uint32_t num_threads = 1;
-
-  /// Optional sharded view of the *same* graph (`sharded->parent().get()`
-  /// must equal the graph passed to the kernel — validated). When set, the
-  /// pull phase streams shard-local CSR rows for every fixed-grain chunk
-  /// fully contained in one shard (`BuildChunkShardMap`); chunks straddling
-  /// a shard boundary fall back to the monolithic arrays. Execution-only,
-  /// like `num_threads`: the chunk grid — and with it every per-chunk
-  /// residual and the tree reduction — is untouched, and shard-local rows
-  /// are element-equal to the parent's, so scores, iterations, and
-  /// residuals are bit-identical at every shard count, unsharded included.
-  /// Borrowed; must outlive the call.
-  const ShardedGraph* sharded = nullptr;
 };
 
 /// Outcome of a PageRank computation.

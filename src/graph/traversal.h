@@ -10,8 +10,6 @@
 
 namespace cyclerank {
 
-class ShardedGraph;
-
 /// Distance value for unreachable nodes.
 inline constexpr uint32_t kUnreachable = std::numeric_limits<uint32_t>::max();
 
@@ -34,26 +32,17 @@ enum class Direction {
 /// `num_threads > 1` (0 = every pool worker). Distances are identical at
 /// every thread count — BFS waves assign the same depth regardless of
 /// expansion order.
-///
-/// `sharded`, when non-null, must be a view of `g` (validated) and makes
-/// the expansion stream shard-local CSR rows; distances are identical with
-/// or without it (BFS depth assignment is order-independent, and the
-/// engine's merge order doesn't depend on the shard refinement).
 Result<std::vector<uint32_t>> BfsDistances(const Graph& g, NodeId source,
                                            Direction direction,
                                            uint32_t max_depth = kUnreachable,
-                                           uint32_t num_threads = 1,
-                                           const ShardedGraph* sharded =
-                                               nullptr);
+                                           uint32_t num_threads = 1);
 
 /// Ids of nodes with finite distance from `source` within `max_depth`,
 /// ascending. Includes `source` itself (distance 0).
 Result<std::vector<NodeId>> ReachableSet(const Graph& g, NodeId source,
                                          Direction direction,
                                          uint32_t max_depth = kUnreachable,
-                                         uint32_t num_threads = 1,
-                                         const ShardedGraph* sharded =
-                                             nullptr);
+                                         uint32_t num_threads = 1);
 
 }  // namespace cyclerank
 

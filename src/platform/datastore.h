@@ -121,19 +121,6 @@ class Datastore {
   /// reports `kExpired`.
   Result<GraphPtr> GetDataset(const std::string& name);
 
-  /// A `num_shards`-way sharded view of `pinned` (the snapshot the caller
-  /// fetched via `GetDataset`), cached next to the uploaded dataset and
-  /// charged against the graph-store byte budget. Catalog datasets — which
-  /// the graph store never holds — get a correct but uncached view. See
-  /// `GraphStore::GetSharded` for lifecycle rules (views ride their
-  /// parent's slot: dropped on eviction, never spilled, rebuilt on
-  /// demand).
-  Result<ShardedGraphPtr> GetShardedDataset(const std::string& name,
-                                            const GraphPtr& pinned,
-                                            uint32_t num_shards) {
-    return graphs_.GetSharded(name, pinned, num_shards);
-  }
-
   /// Names of uploaded datasets (catalog names come from the catalog).
   std::vector<std::string> UploadedDatasets() const { return graphs_.Names(); }
 

@@ -106,33 +106,9 @@ Result<TaskResult> Executor::Run(const std::string& task_id,
   if (default_threads_ != 0 && !spec.params.Has("threads")) {
     request.num_threads = default_threads_;
   }
-  // Same pattern for the shard count (execution-only too). 0 or 1 =
-  // monolithic execution, the unsharded fast path.
-  if (default_shards_ != 0 && !spec.params.Has("shards")) {
-    request.num_shards = default_shards_;
-  }
   if (algorithm->requires_reference() && request.reference == kInvalidNode) {
     return Status::InvalidArgument("algorithm '" + spec.algorithm +
                                    "' requires a reference node (source=...)");
-  }
-
-  if (request.num_shards > 1) {
-    // Fetch (or lazily build) the sharded view of the pinned snapshot —
-    // cached next to the dataset, so later tasks at this shard count reuse
-    // it. Kernels re-validate that the view's parent is the graph they run
-    // on.
-    CYCLERANK_ASSIGN_OR_RETURN(
-        request.sharded_graph,
-        datastore_->GetShardedDataset(spec.dataset, graph,
-                                      request.num_shards));
-    datastore_->AppendLog(
-        task_id,
-        "sharded view ready: " +
-            std::to_string(request.sharded_graph->num_shards()) +
-            " shard(s) via " + request.sharded_graph->partitioner_name() +
-            ", " + std::to_string(request.sharded_graph->TotalBoundaryEdges()) +
-            " boundary edge(s), " +
-            std::to_string(request.sharded_graph->MemoryBytes()) + " bytes");
   }
 
   if (cancelled != nullptr && cancelled->load(std::memory_order_relaxed)) {

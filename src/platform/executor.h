@@ -32,15 +32,14 @@ namespace cyclerank {
 class Executor {
  public:
   /// All dependencies are borrowed and must outlive the executor.
-  /// `options.default_threads` / `options.num_shards` are applied to tasks
-  /// that carry no `threads=` / `shards=` parameter of their own.
+  /// `options.default_threads` is applied to tasks that carry no
+  /// `threads=` parameter of their own.
   Executor(Datastore* datastore, AlgorithmRegistry* registry,
            StatusService* status, const PlatformOptions& options = {})
       : datastore_(datastore),
         registry_(registry),
         status_(status),
-        default_threads_(options.default_threads),
-        default_shards_(options.num_shards) {}
+        default_threads_(options.default_threads) {}
 
   /// Runs `spec` as task `task_id`:
   ///   pending → fetching → running → completed | failed | cancelled.
@@ -79,7 +78,6 @@ class Executor {
   AlgorithmRegistry* registry_;
   StatusService* status_;
   const uint32_t default_threads_;  ///< 0 = kernel default (whole pool)
-  const uint32_t default_shards_;   ///< 0 or 1 = monolithic execution
 };
 
 }  // namespace cyclerank

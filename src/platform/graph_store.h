@@ -3,7 +3,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -12,7 +11,6 @@
 #include "common/result.h"
 #include "common/thread_annotations.h"
 #include "graph/graph.h"
-#include "graph/sharded_graph.h"
 #include "platform/byte_lru.h"
 #include "platform/expiry_markers.h"
 #include "platform/spill_tier.h"
@@ -32,12 +30,8 @@ struct GraphStoreStats {
   /// `Datastore` this includes lookups that resolve in the catalog
   /// instead, so size budgets by hits/evictions/bytes, not raw misses.
   uint64_t misses = 0;
-  uint64_t sharded_builds = 0;  ///< `GetSharded` calls that built a view
-  uint64_t sharded_hits = 0;    ///< `GetSharded` calls served from a slot
   size_t entries = 0;       ///< live uploaded datasets (in memory)
-  /// Sum of `Graph::MemoryBytes()` of live datasets, plus the
-  /// `ShardedGraph::MemoryBytes()` of every cached sharded view.
-  size_t bytes = 0;
+  size_t bytes = 0;         ///< sum of `Graph::MemoryBytes()` of live datasets
 };
 
 /// The uploaded-datasets third of the Datastore decomposition: a
@@ -107,29 +101,6 @@ class GraphStore {
   /// disk — the message distinguishes the two), `kNotFound` otherwise.
   Result<GraphPtr> Get(const std::string& name) CYR_EXCLUDES(mu_);
 
-  /// A `num_shards`-way sharded view of `pinned`, cached next to the
-  /// dataset. `pinned` is the snapshot the caller already fetched via
-  /// `Get` — passing it (instead of looking the name up again) makes the
-  /// view provably belong to the caller's graph even when the name is
-  /// concurrently evicted or re-bound.
-  ///
-  /// The view is built lazily (contiguous-range partition) outside the
-  /// store lock and cached in the dataset's slot when the name still binds
-  /// `pinned`; its `MemoryBytes()` is then re-charged against the byte
-  /// budget (which may demote colder datasets). Cached views ride their
-  /// parent's lifecycle: eviction and demotion drop them with the slot —
-  /// the spill tier serializes only the parent graph, and a reload starts
-  /// with no views (they rebuild on demand). When the name no longer binds
-  /// `pinned` (eviction + re-upload race), the name is unknown (catalog
-  /// datasets), or caching would alone overflow the budget, the freshly
-  /// built view is returned *uncached* — correct, merely not reusable.
-  ///
-  /// Errors: InvalidArgument for a null graph or `num_shards == 0` (the
-  /// executor resolves 0/1 to monolithic execution before calling).
-  Result<ShardedGraphPtr> GetSharded(const std::string& name,
-                                     const GraphPtr& pinned,
-                                     uint32_t num_shards) CYR_EXCLUDES(mu_);
-
   /// Generation of `name`'s current binding: a process-unique counter
   /// assigned at every successful `Put`, 0 when the name is not live. A
   /// dataset demoted to the spill tier keeps its generation (it is the
@@ -150,14 +121,7 @@ class GraphStore {
   struct Slot {
     GraphPtr graph;
     uint64_t generation = 0;
-    /// Lazily built sharded views, keyed by shard count; dropped with the
-    /// slot (never spilled — views rebuild from the parent on demand).
-    std::map<uint32_t, ShardedGraphPtr> sharded;
   };
-
-  /// `graph->MemoryBytes()` plus every cached view's — the slot's charge
-  /// against the byte budget.
-  static size_t SlotBytes(const Slot& slot);
 
   /// Evicts least-recently-queried entries until the budget holds —
   /// demoting them to the spill tier when one is attached — then bounds

@@ -128,9 +128,9 @@ std::string TaskFingerprint(const std::string& dataset, uint64_t generation,
   // execution-only keys are re-added (or dropped) explicitly below.
   ParamMap canonical;
   for (const std::string& key : params.Keys()) {
-    if (key == "threads" || key == "shards" || key == "deadline_ms" ||
-        key == "source" || key == "reference" || key == "r" || key == "k" ||
-        key == "maxloop" || key == "sigma" || key == "scoring") {
+    if (key == "threads" || key == "deadline_ms" || key == "source" ||
+        key == "reference" || key == "r" || key == "k" || key == "maxloop" ||
+        key == "sigma" || key == "scoring") {
       continue;
     }
     canonical.Set(key, params.GetString(key, ""));
@@ -181,7 +181,7 @@ Result<AlgorithmRequest> BuildRequest(const Graph& graph,
       "source",  "reference", "r",       "alpha",     "k",
       "maxloop", "sigma",     "scoring", "tolerance", "max_iterations",
       "epsilon", "walks",     "seed",    "top_k",     "threads",
-      "shards",  "deadline_ms"};
+      "deadline_ms"};
   AlgorithmRequest request;
 
   // Reject unknown keys early: a typo like "alhpa=0.3" silently running
@@ -266,16 +266,6 @@ Result<AlgorithmRequest> BuildRequest(const Graph& graph,
         "params: threads must be in [0, 2^32)");
   }
   request.num_threads = static_cast<uint32_t>(threads);
-
-  // Execution-only, like threads: 0 = monolithic (or the platform default).
-  // Capped well below the node-count scale — a partition into 2^16 ranges
-  // already exceeds any sensible locality win.
-  int64_t shards = static_cast<int64_t>(request.num_shards);
-  CYCLERANK_ASSIGN_OR_RETURN(shards, params.GetInt("shards", shards));
-  if (shards < 0 || shards >= (int64_t{1} << 16)) {
-    return Status::InvalidArgument("params: shards must be in [0, 2^16)");
-  }
-  request.num_shards = static_cast<uint32_t>(shards);
 
   return request;
 }

@@ -98,14 +98,6 @@ Result<PlatformOptions> PlatformOptions::FromString(std::string_view text) {
             value);
       }
       options.default_threads = static_cast<uint32_t>(threads);
-    } else if (key == "num_shards") {
-      CYCLERANK_ASSIGN_OR_RETURN(size_t shards, ParseCount(key, value));
-      if (shards >= (size_t{1} << 16)) {
-        return Status::OutOfRange(
-            "platform options: num_shards must be in [0, 2^16), got " +
-            value);
-      }
-      options.num_shards = static_cast<uint32_t>(shards);
     } else if (key == "uuid_seed") {
       CYCLERANK_ASSIGN_OR_RETURN(options.uuid_seed, ParseUint64(key, value));
     } else if (key == "max_tasks_per_submission") {
@@ -194,7 +186,6 @@ std::string PlatformOptions::ToString() const {
   append("max_frame_bytes", max_frame_bytes);
   append("max_retained_results", max_retained_results);
   append("max_tasks_per_submission", max_tasks_per_submission);
-  append("num_shards", num_shards);
   append("num_workers", num_workers);
   append("result_cache_bytes", result_cache_bytes);
   append("result_spill_bytes", result_spill_bytes);

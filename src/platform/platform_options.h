@@ -54,15 +54,6 @@ struct PlatformOptions {
   /// Purely an execution knob: kernels are bit-identical at any count.
   uint32_t default_threads = 0;
 
-  /// Shard count applied to tasks that carry no `shards=` parameter of
-  /// their own (an explicit `shards=` always wins). 0 or 1 = monolithic
-  /// execution, today's behavior. With an effective count > 1 the executor
-  /// fetches (and the graph store caches) a `ShardedGraph` view next to
-  /// the dataset and kernels stream shard-local CSR rows. Purely an
-  /// execution knob, like `default_threads`: kernels are bit-identical at
-  /// any shard count, so `shards=` never enters task fingerprints.
-  uint32_t num_shards = 0;
-
   /// Seed of the gateway's comparison-id generator. Non-zero makes ids
   /// deterministic (tests); 0 = random ids.
   uint64_t uuid_seed = 0;
@@ -192,7 +183,6 @@ struct PlatformOptions {
            a.max_retained_results == b.max_retained_results &&
            a.num_workers == b.num_workers &&
            a.default_threads == b.default_threads &&
-           a.num_shards == b.num_shards &&
            a.uuid_seed == b.uuid_seed &&
            a.max_tasks_per_submission == b.max_tasks_per_submission &&
            a.spill_dir == b.spill_dir &&

@@ -45,7 +45,7 @@ TEST(DeterminismTest, PageRankBitIdenticalAcrossThreadCounts) {
   PageRankOptions options;
   options.num_threads = 1;
   const PageRankScores base = ComputePageRank(g, options).value();
-  for (uint32_t threads : {2u, 8u}) {
+  for (uint32_t threads : {2u, 4u, 8u}) {
     options.num_threads = threads;
     const PageRankScores other = ComputePageRank(g, options).value();
     EXPECT_EQ(base.scores, other.scores) << "threads=" << threads;
@@ -62,10 +62,14 @@ TEST(DeterminismTest, PersonalizedPageRankAndCheiRankBitIdentical) {
   const PageRankScores ppr1 =
       ComputePersonalizedPageRank(g, 3, options).value();
   const PageRankScores chei1 = ComputeCheiRank(g, options).value();
-  options.num_threads = 8;
-  EXPECT_EQ(ppr1.scores,
-            ComputePersonalizedPageRank(g, 3, options).value().scores);
-  EXPECT_EQ(chei1.scores, ComputeCheiRank(g, options).value().scores);
+  for (uint32_t threads : {2u, 4u, 8u}) {
+    options.num_threads = threads;
+    EXPECT_EQ(ppr1.scores,
+              ComputePersonalizedPageRank(g, 3, options).value().scores)
+        << "threads=" << threads;
+    EXPECT_EQ(chei1.scores, ComputeCheiRank(g, options).value().scores)
+        << "threads=" << threads;
+  }
 }
 
 TEST(DeterminismTest, PageRankOnDanglingHeavyGraph) {

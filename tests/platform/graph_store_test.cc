@@ -11,15 +11,6 @@
 namespace cyclerank {
 namespace {
 
-/// Deterministic byte size of a `shards`-way view of `graph` (built with
-/// the same partitioner the store uses) — the budgeted sharded tests use
-/// it to compute exact eviction thresholds.
-size_t ViewBytes(const GraphPtr& graph, uint32_t shards) {
-  return ShardedGraph::Build(graph, shards, ContiguousRangePartitioner())
-      .value()
-      .MemoryBytes();
-}
-
 TEST(GraphStoreTest, UnboundedByDefault) {
   GraphStore store;
   EXPECT_EQ(store.max_bytes(), 0u);
@@ -224,156 +215,6 @@ TEST(GraphStoreSpillTest, GenerationCounterResumesPastRecoveredBindings) {
   ASSERT_TRUE(store.Put("fresh", ChainGraph(50)).ok());
   EXPECT_GT(store.Generation("fresh"), spilled_generation);
   EXPECT_EQ(store.Get("a").value()->Serialize(), graph->Serialize());
-}
-
-TEST(GraphStoreShardedTest, BuildsOnceThenServesFromTheSlot) {
-  GraphStore store;
-  ASSERT_TRUE(store.Put("a", ChainGraph(100)).ok());
-  const GraphPtr pinned = store.Get("a").value();
-  const ShardedGraphPtr first = store.GetSharded("a", pinned, 4).value();
-  ASSERT_NE(first, nullptr);
-  EXPECT_EQ(first->num_shards(), 4u);
-  EXPECT_EQ(first->parent(), pinned);
-  // The second call is a slot hit: the exact same view object comes back.
-  const ShardedGraphPtr second = store.GetSharded("a", pinned, 4).value();
-  EXPECT_EQ(second, first);
-  // A different shard count is a different view, cached independently.
-  const ShardedGraphPtr other = store.GetSharded("a", pinned, 2).value();
-  EXPECT_NE(other, first);
-  EXPECT_EQ(other->num_shards(), 2u);
-  EXPECT_EQ(store.GetSharded("a", pinned, 2).value(), other);
-  const GraphStoreStats stats = store.stats();
-  EXPECT_EQ(stats.sharded_builds, 2u);
-  EXPECT_EQ(stats.sharded_hits, 2u);
-}
-
-TEST(GraphStoreShardedTest, CachedViewsChargeTheByteBudget) {
-  GraphStore store;
-  ASSERT_TRUE(store.Put("a", ChainGraph(100)).ok());
-  const GraphPtr pinned = store.Get("a").value();
-  const size_t before = store.stats().bytes;
-  EXPECT_EQ(before, pinned->MemoryBytes());
-  const ShardedGraphPtr view = store.GetSharded("a", pinned, 3).value();
-  // The slot now carries graph + view bytes.
-  EXPECT_EQ(store.stats().bytes, before + view->MemoryBytes());
-}
-
-TEST(GraphStoreShardedTest, RejectsBadInput) {
-  GraphStore store;
-  ASSERT_TRUE(store.Put("a", ChainGraph(10)).ok());
-  const GraphPtr pinned = store.Get("a").value();
-  EXPECT_EQ(store.GetSharded("a", nullptr, 4).status().code(),
-            StatusCode::kInvalidArgument);
-  EXPECT_EQ(store.GetSharded("a", pinned, 0).status().code(),
-            StatusCode::kInvalidArgument);
-}
-
-TEST(GraphStoreShardedTest, UnknownNameGetsACorrectUncachedView) {
-  // Catalog datasets never live in the graph store; the view is still
-  // built (correctness does not depend on caching), just not retained.
-  GraphStore store;
-  const GraphPtr pinned = ChainGraph(50);
-  const ShardedGraphPtr view = store.GetSharded("catalog", pinned, 4).value();
-  ASSERT_NE(view, nullptr);
-  EXPECT_EQ(view->parent(), pinned);
-  // Nothing was cached: the next call builds again.
-  const ShardedGraphPtr again = store.GetSharded("catalog", pinned, 4).value();
-  EXPECT_NE(again, view);
-  const GraphStoreStats stats = store.stats();
-  EXPECT_EQ(stats.sharded_builds, 2u);
-  EXPECT_EQ(stats.sharded_hits, 0u);
-}
-
-TEST(GraphStoreShardedTest, ReboundNameServesThePinnedSnapshotUncached) {
-  const GraphPtr graph = ChainGraph(100);
-  GraphStore store(graph->MemoryBytes());
-  ASSERT_TRUE(store.Put("a", graph).ok());
-  const GraphPtr pinned = store.Get("a").value();
-  // Evict "a" and re-bind the name to different content.
-  ASSERT_TRUE(store.Put("b", ChainGraph(100)).ok());  // evicts "a"
-  ASSERT_TRUE(store.Put("a", ChainGraph(40)).ok());   // re-binds, evicts "b"
-  // The view must mirror the *pinned* snapshot, not the name's new
-  // binding — and it must not be cached into the rebound slot.
-  const ShardedGraphPtr view = store.GetSharded("a", pinned, 2).value();
-  EXPECT_EQ(view->parent(), pinned);
-  EXPECT_EQ(view->parent()->num_nodes(), 100u);
-  EXPECT_EQ(store.stats().sharded_hits, 0u);
-  EXPECT_NE(store.GetSharded("a", pinned, 2).value(), view);
-}
-
-TEST(GraphStoreShardedTest, ViewTooLargeForTheBudgetServedTransiently) {
-  const GraphPtr graph = ChainGraph(100);
-  // The budget fits the graph but not graph + any sharded view.
-  GraphStore store(graph->MemoryBytes() + 1);
-  ASSERT_TRUE(store.Put("a", graph).ok());
-  const GraphPtr pinned = store.Get("a").value();
-  const ShardedGraphPtr view = store.GetSharded("a", pinned, 2).value();
-  ASSERT_NE(view, nullptr);
-  EXPECT_EQ(view->parent(), pinned);
-  // The slot was not grown (caching would overflow it alone) and the
-  // dataset itself stays resident.
-  EXPECT_EQ(store.stats().bytes, graph->MemoryBytes());
-  EXPECT_TRUE(store.Get("a").ok());
-  EXPECT_NE(store.GetSharded("a", pinned, 2).value(), view);
-}
-
-TEST(GraphStoreShardedTest, CachingAViewCanDemoteColderDatasets) {
-  const GraphPtr graph = ChainGraph(100);
-  // Both graphs plus the view overflow the budget by exactly one byte:
-  // growing the hot slot with the view evicts the colder dataset.
-  GraphStore store(2 * graph->MemoryBytes() + ViewBytes(graph, 2) - 1);
-  ASSERT_TRUE(store.Put("cold", ChainGraph(100)).ok());
-  ASSERT_TRUE(store.Put("hot", graph).ok());
-  const GraphPtr pinned = store.Get("hot").value();
-  const ShardedGraphPtr view = store.GetSharded("hot", pinned, 2).value();
-  ASSERT_NE(view, nullptr);
-  EXPECT_EQ(store.Get("cold").status().code(), StatusCode::kExpired);
-  // The slot that grew is never its own victim.
-  EXPECT_TRUE(store.Get("hot").ok());
-  EXPECT_EQ(store.GetSharded("hot", pinned, 2).value(), view);
-}
-
-TEST(GraphStoreShardedTest, EvictionDropsTheViewsWithTheSlot) {
-  const GraphPtr graph = ChainGraph(100);
-  const GraphPtr big = ChainGraph(150);
-  // graph + view fit; adding "big" overflows by one byte and evicts the
-  // grown slot wholesale.
-  GraphStore store(graph->MemoryBytes() + ViewBytes(graph, 2) +
-                   big->MemoryBytes() - 1);
-  ASSERT_TRUE(store.Put("a", graph).ok());
-  const GraphPtr pinned = store.Get("a").value();
-  const ShardedGraphPtr view = store.GetSharded("a", pinned, 2).value();
-  // Evicting "a" drops graph and views; the store's accounting returns to
-  // exactly the surviving dataset's bytes.
-  ASSERT_TRUE(store.Put("big", big).ok());  // evicts "a"
-  EXPECT_EQ(store.Get("a").status().code(), StatusCode::kExpired);
-  EXPECT_EQ(store.stats().bytes, big->MemoryBytes());
-  // The caller's handles stay alive — eviction only drops the store's
-  // references.
-  EXPECT_EQ(view->parent(), pinned);
-  EXPECT_EQ(view->OutNeighbors(0, 0).size(), 1u);
-}
-
-TEST(GraphStoreShardedSpillTest, ReloadedDatasetStartsWithNoViews) {
-  const GraphPtr graph = ChainGraph(100);
-  SpillTier spill(FreshSpillDir("gs_sharded_spill"), 0, "dataset");
-  // One graph + one view fit (so the view gets cached); the second graph
-  // overflows and demotes "a" to disk.
-  GraphStore store(2 * graph->MemoryBytes() + ViewBytes(graph, 2) - 1,
-                   &spill);
-  ASSERT_TRUE(store.Put("a", graph).ok());
-  const GraphPtr pinned = store.Get("a").value();
-  (void)store.GetSharded("a", pinned, 2).value();
-  ASSERT_TRUE(store.Put("b", ChainGraph(100)).ok());  // "a" → disk
-  // Only the parent graph was serialized; the reloaded binding rebuilds
-  // views on demand (against its *new* snapshot pointer).
-  const GraphPtr reloaded = store.Get("a").value();
-  const size_t builds_before = store.stats().sharded_builds;
-  const ShardedGraphPtr rebuilt = store.GetSharded("a", reloaded, 2).value();
-  EXPECT_EQ(rebuilt->parent(), reloaded);
-  EXPECT_EQ(store.stats().sharded_builds, builds_before + 1);
-  // And the rebuilt view is cached like any other.
-  EXPECT_EQ(store.GetSharded("a", reloaded, 2).value(), rebuilt);
 }
 
 TEST(GraphStoreTest, EvictionMarkersAreBounded) {

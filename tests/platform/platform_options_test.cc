@@ -13,7 +13,6 @@ TEST(PlatformOptionsTest, EmptyStringYieldsDefaults) {
   EXPECT_EQ(parsed.max_retained_results, 0u);
   EXPECT_EQ(parsed.num_workers, 0u);
   EXPECT_EQ(parsed.default_threads, 0u);
-  EXPECT_EQ(parsed.num_shards, 0u);
   EXPECT_EQ(parsed.uuid_seed, 0u);
   EXPECT_EQ(parsed.max_tasks_per_submission, 0u);
   EXPECT_EQ(parsed.spill_dir, "");
@@ -28,7 +27,7 @@ TEST(PlatformOptionsTest, ParsesEveryKnob) {
       PlatformOptions::FromString(
           "graph_store_bytes=1000, result_cache_bytes=2000, "
           "max_retained_results=30, num_workers=4, default_threads=2, "
-          "num_shards=3, uuid_seed=99, max_tasks_per_submission=16, "
+          "uuid_seed=99, max_tasks_per_submission=16, "
           "spill_dir=/tmp/spill, graph_spill_bytes=4000, "
           "result_spill_bytes=5000, spill_write_behind_bytes=6000, "
           "spill_compression=false")
@@ -38,7 +37,6 @@ TEST(PlatformOptionsTest, ParsesEveryKnob) {
   EXPECT_EQ(parsed.max_retained_results, 30u);
   EXPECT_EQ(parsed.num_workers, 4u);
   EXPECT_EQ(parsed.default_threads, 2u);
-  EXPECT_EQ(parsed.num_shards, 3u);
   EXPECT_EQ(parsed.uuid_seed, 99u);
   EXPECT_EQ(parsed.max_tasks_per_submission, 16u);
   EXPECT_EQ(parsed.spill_dir, "/tmp/spill");
@@ -82,7 +80,6 @@ TEST(PlatformOptionsTest, RoundTripsThroughToString) {
   options.max_retained_results = 77;
   options.num_workers = 3;
   options.default_threads = 5;
-  options.num_shards = 4;
   options.uuid_seed = 42;
   options.max_tasks_per_submission = 9;
   options.spill_dir = "/var/tmp/cyclerank-spill";
@@ -109,6 +106,7 @@ TEST(PlatformOptionsTest, UnknownKeysRejected) {
   EXPECT_NE(result.status().message().find("graph_store_byte"),
             std::string::npos);
   EXPECT_FALSE(PlatformOptions::FromString("threads=4").ok());
+  EXPECT_FALSE(PlatformOptions::FromString("num_shards=4").ok());
 }
 
 TEST(PlatformOptionsTest, MalformedValuesRejected) {
@@ -118,12 +116,6 @@ TEST(PlatformOptionsTest, MalformedValuesRejected) {
   EXPECT_FALSE(PlatformOptions::FromString("graph_store_bytes=m").ok());
   EXPECT_FALSE(PlatformOptions::FromString("uuid_seed=-3").ok());
   EXPECT_FALSE(PlatformOptions::FromString("default_threads=4294967296").ok());
-  // Shard counts share threads' parse rules plus the 2^16 partition cap.
-  EXPECT_FALSE(PlatformOptions::FromString("num_shards=-1").ok());
-  EXPECT_FALSE(PlatformOptions::FromString("num_shards=abc").ok());
-  EXPECT_FALSE(PlatformOptions::FromString("num_shards=65536").ok());
-  EXPECT_EQ(PlatformOptions::FromString("num_shards=65535").value().num_shards,
-            65535u);
   EXPECT_FALSE(PlatformOptions::FromString("num_workers").ok());
 }
 

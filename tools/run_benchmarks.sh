@@ -1,14 +1,17 @@
 #!/usr/bin/env bash
 # Runs the perf benchmark suite (perf_pagerank, perf_cyclerank,
 # perf_ppr_variants, the perf_result_cache cache-hit sweep, the
-# perf_forward_push frontier-engine sweeps, the perf_datastore
-# storage-layer + spill-tier sweeps, and the perf_sharding shard-local
-# compute sweeps) with --benchmark_format=json and merges the results
-# into one file, so the repo's perf trajectory is tracked PR over PR.
+# perf_forward_push frontier-engine sweeps, and the perf_datastore
+# storage-layer + spill-tier sweeps) with --benchmark_format=json and
+# merges the results into one file, so the repo's perf trajectory is
+# tracked PR over PR.
 #
 # Usage:
-#   tools/run_benchmarks.sh [--smoke] [OUT_JSON]
+#   tools/run_benchmarks.sh OUT_JSON
+#   tools/run_benchmarks.sh --smoke
 #
+#   OUT_JSON  where the merged results go; required outside --smoke, so a
+#             run never overwrites a committed BENCH_*.json by default.
 #   --smoke   CI mode: every suite runs with a minimal measurement time so
 #             the binaries are exercised end-to-end (they cannot silently
 #             rot), but no JSON is written and no numbers are meant to be
@@ -30,20 +33,28 @@
 # thread sweeps measure parallel-engine *overhead bounds*, not scaling, and
 # downstream tooling must not read them as speedup claims.
 #
-# Example (the PR-9 evidence file; earlier PRs wrote BENCH_PR<n>.json the
-# same way):
+# Example (how the BENCH_PR<n>.json files at the root were written):
 #   cmake -B build -S . && cmake --build build -j
-#   tools/run_benchmarks.sh BENCH_PR9.json
+#   tools/run_benchmarks.sh BENCH_PR<n>.json
 set -euo pipefail
+
+usage() {
+  echo "usage: $0 OUT_JSON | $0 --smoke" >&2
+  exit 2
+}
 
 cd "$(dirname "$0")/.."
 BUILD_DIR=${BUILD_DIR:-build}
 SMOKE=0
+OUT=
 if [[ "${1:-}" == "--smoke" ]]; then
   SMOKE=1
   shift
+  [[ $# -eq 0 ]] || usage
+else
+  [[ $# -eq 1 && -n "$1" && "$1" != -* ]] || usage
+  OUT=$1
 fi
-OUT=${1:-BENCH_PR9.json}
 
 # The spill-tier benchmarks write real files; point them at a per-run temp
 # dir (honored via BENCH_SPILL_DIR in bench/perf_datastore.cc) so smoke runs
@@ -54,7 +65,7 @@ if [[ -z "${BENCH_SPILL_DIR:-}" ]]; then
   SPILL_DIR_CLEANUP=1
 fi
 SUITES=(perf_pagerank perf_cyclerank perf_ppr_variants perf_result_cache
-        perf_forward_push perf_datastore perf_sharding)
+        perf_forward_push perf_datastore)
 TMP_DIR=$(mktemp -d)
 trap 'rm -rf "${TMP_DIR}"; [[ -n "${SPILL_DIR_CLEANUP:-}" ]] && rm -rf "${BENCH_SPILL_DIR}"' EXIT
 
@@ -105,14 +116,6 @@ for suite in suites:
 cpus = os.cpu_count() or merged.get("context", {}).get("num_cpus", 0)
 merged["host_cpus"] = cpus
 merged["single_core_host"] = cpus <= 1
-# The perf_sharding sweep's configuration, stamped so downstream tooling
-# can interpret the shards= counter rows without parsing benchmark names.
-merged["shard_sweep"] = {
-    "kernel_shard_counts": [0, 2, 4, 8],  # 0 = monolithic baseline
-    "build_shard_counts": [2, 4, 8, 16],
-    "partitioners": ["contiguous_range", "degree_balanced"],
-    "bit_identical_across_shards": True,  # enforced by sharding_grid_test
-}
 if merged["single_core_host"]:
     merged["thread_sweep_caveat"] = (
         "host exposes 1 CPU: Threads(2..8) rows bound the parallel engine's "
